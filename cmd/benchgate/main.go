@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	go test -bench . -benchmem -count=5 ./internal/stm ./internal/lazystm ./internal/core ./internal/faults ./internal/sim > bench.txt
+//	go test -bench . -benchmem -count=5 ./internal/stm ./internal/core ./internal/faults ./internal/sim > bench.txt
 //	benchgate bench.txt                  # compare against BENCH_baseline.json
 //	benchgate -write bench.txt           # regenerate the baseline
 //	benchgate -baseline other.json -     # read bench output from stdin
@@ -370,7 +370,7 @@ func readBaseline(path string) (*Baseline, error) {
 func writeBaseline(path string, current map[string]BaselineEntry) error {
 	doc := Baseline{
 		Schema:     baselineSchema,
-		Note:       "medians of `go test -bench . -benchmem -count=5 ./internal/stm ./internal/lazystm ./internal/core ./internal/faults ./internal/sim`; regenerate with `go run ./cmd/benchgate -write bench.txt`",
+		Note:       "medians of `go test -bench . -benchmem -count=5 ./internal/stm ./internal/core ./internal/faults ./internal/sim`; regenerate with `go run ./cmd/benchgate -write bench.txt`",
 		Benchmarks: current,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"hastm.dev/hastm/internal/harness"
 	"hastm.dev/hastm/internal/stats"
@@ -20,7 +21,7 @@ import (
 
 func main() {
 	var (
-		scheme   = flag.String("scheme", "hastm", "seq|lock|stm|hastm|hastm-cautious|hastm-noreuse|naive-aggressive|hytm|htm|hastm-wfilter|hastm-interatomic|hastm-object|stm-object|hastm-watermark")
+		scheme   = flag.String("scheme", "hastm", strings.Join(harness.Schemes(), "|"))
 		workload = flag.String("workload", "btree", "hashtable|bst|btree|objbst")
 		cores    = flag.Int("cores", 1, "number of cores")
 		ops      = flag.Int("ops", 2048, "total operations (split across cores)")

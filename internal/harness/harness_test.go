@@ -380,3 +380,20 @@ func TestRunOneTraceCapture(t *testing.T) {
 		t.Fatalf("trace lacks begin/commit events: %v", kinds)
 	}
 }
+
+// Schemes is the one list behind validateConfig and the tmsim -scheme
+// help: every listed scheme builds, and a name outside it is rejected.
+func TestSchemesListIsBuildable(t *testing.T) {
+	for _, name := range Schemes() {
+		if err := validateConfig(name, WorkloadHash, 1, Options{}); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if sys := buildExtScheme(name, machineFor(1, Options{}), 1, Options{}); sys == nil {
+			t.Errorf("%s: no system built", name)
+		}
+	}
+	if err := validateConfig("no-such-scheme", WorkloadHash, 1, Options{}); err == nil {
+		t.Error("an unlisted scheme passed validation")
+	}
+}

@@ -2,12 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/core"
 	"hastm.dev/hastm/internal/htm"
-	"hastm.dev/hastm/internal/lazystm"
 	"hastm.dev/hastm/internal/locksync"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
@@ -210,7 +210,7 @@ const (
 	SchemeHTM      = "htm"
 	// SchemeLazy is the deferred-update STM: per-transaction write buffer,
 	// commit-time ascending-order lock acquisition, sandboxed read-set
-	// validation before write-back (package lazystm).
+	// validation before write-back (package stm's deferred-buffer policy).
 	SchemeLazy = "lazy"
 	// SchemeMVCC is the multi-version variant of SchemeLazy: a commit clock
 	// and per-location version history give read-only transactions an
@@ -227,15 +227,25 @@ const SchemeIrrevocable = "hastm-irrevocable"
 // scheme (and the adversarial suite) uses when Options.RetryBudget is 0.
 const IrrevocableDefaultBudget = 8
 
-// buildScheme instantiates a scheme on a machine. threads is the number of
-// worker threads the run will use (the HASTM watermark controller treats
-// single-threaded runs specially, §6). o contributes only the escalation
-// ladder's retry budget, never sizes.
+// Schemes lists every scheme name RunOne accepts.
+func Schemes() []string {
+	return []string{
+		SchemeSeq, SchemeLock, SchemeSTM, SchemeHASTM, SchemeCautious,
+		SchemeNoReuse, SchemeNaive, SchemeHyTM, SchemeHTM,
+		SchemeWFilter, SchemeInterAtomic, SchemeObjHASTM, SchemeObjSTM, SchemeWatermark,
+		SchemeIrrevocable, SchemeLazy, SchemeMVCC,
+	}
+}
+
 // stmObject builds the base STM at object granularity.
 func stmObject(m *sim.Machine) tm.System {
 	return stm.New(m, tm.Config{Granularity: tm.ObjectGranularity, ValidateEvery: 128})
 }
 
+// buildScheme instantiates a scheme on a machine. threads is the number of
+// worker threads the run will use (the HASTM watermark controller treats
+// single-threaded runs specially, §6). o contributes only the escalation
+// ladder's retry budget, never sizes.
 func buildScheme(name string, m *sim.Machine, threads int, o Options) tm.System {
 	stmCfg := tm.Config{Granularity: tm.LineGranularity, ValidateEvery: 128}
 	stmCfg.Progress.RetryBudget = o.RetryBudget
@@ -262,9 +272,9 @@ func buildScheme(name string, m *sim.Machine, threads int, o Options) tm.System 
 	case SchemeHTM:
 		return htm.NewHTM(m)
 	case SchemeLazy:
-		return lazystm.New(m, stmCfg)
+		return stm.NewLazy(m, stmCfg)
 	case SchemeMVCC:
-		return lazystm.NewMVCC(m, stmCfg)
+		return stm.NewMVCC(m, stmCfg)
 	default:
 		panic(fmt.Sprintf("harness: unknown scheme %q", name))
 	}
@@ -340,18 +350,7 @@ func validateConfig(scheme, workload string, cores int, o Options) error {
 	if cores < 1 {
 		return fmt.Errorf("cores must be >= 1, got %d", cores)
 	}
-	known := false
-	for _, s := range []string{
-		SchemeSeq, SchemeLock, SchemeSTM, SchemeHASTM, SchemeCautious,
-		SchemeNoReuse, SchemeNaive, SchemeHyTM, SchemeHTM,
-		SchemeWFilter, SchemeInterAtomic, SchemeObjHASTM, SchemeObjSTM, SchemeWatermark,
-		SchemeIrrevocable, SchemeLazy, SchemeMVCC,
-	} {
-		if scheme == s {
-			known = true
-		}
-	}
-	if !known {
+	if !slices.Contains(Schemes(), scheme) {
 		return fmt.Errorf("unknown scheme %q", scheme)
 	}
 	switch workload {

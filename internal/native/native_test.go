@@ -3,6 +3,7 @@ package native
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -256,6 +257,9 @@ func TestEscalationLadder(t *testing.T) {
 	cfg := tm.Config{Progress: tm.Progress{RetryBudget: 2}}
 	sys, m, words := newSys(t, threads, cfg)
 	// Force escalations: every thread hammers one word with a tiny budget.
+	// The yield between the read and the write opens a window in which
+	// another thread commits to the same word, so conflicts occur even when
+	// the goroutines share one CPU.
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		wg.Add(1)
@@ -264,7 +268,9 @@ func TestEscalationLadder(t *testing.T) {
 			th := sys.Thread(id)
 			for n := 0; n < 300; n++ {
 				if err := th.Atomic(func(tx tm.Txn) error {
-					tx.Store(words, tx.Load(words)+1)
+					v := tx.Load(words)
+					runtime.Gosched()
+					tx.Store(words, v+1)
 					return nil
 				}); err != nil {
 					t.Error(err)

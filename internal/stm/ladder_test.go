@@ -14,39 +14,41 @@ import (
 // RetryBudget failed attempts the next attempt runs irrevocably and
 // commits — the terminal commit the progress guarantee promises.
 func TestLadderEscalatesToTerminalCommit(t *testing.T) {
-	machine := testMachine(1)
-	cfg := lineCfg()
-	cfg.Progress.RetryBudget = 2
-	s := New(machine, cfg)
-	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c).(*Thread)
-		if err := th.Atomic(func(tx tm.Txn) error {
-			if !th.Irrevocable() {
-				th.AbortConflictForTest()
+	forEachPolicy(t, func(t *testing.T, newSys constructor) {
+		machine := testMachine(1)
+		cfg := lineCfg()
+		cfg.Progress.RetryBudget = 2
+		s := newSys(machine, cfg)
+		ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
+		machine.Run(func(c *sim.Ctx) {
+			th := s.Thread(c).(*Thread)
+			if err := th.Atomic(func(tx tm.Txn) error {
+				if !th.Irrevocable() {
+					th.AbortConflictForTest()
+				}
+				tx.Store(ctr, tx.Load(ctr)+1)
+				return nil
+			}); err != nil {
+				t.Errorf("Atomic: %v", err)
 			}
-			tx.Store(ctr, tx.Load(ctr)+1)
-			return nil
-		}); err != nil {
-			t.Errorf("Atomic: %v", err)
+			if th.Irrevocable() {
+				t.Error("token still held after commit")
+			}
+		})
+		if got := machine.Mem.Load(ctr); got != 1 {
+			t.Fatalf("counter = %d, want 1", got)
 		}
-		if th.Irrevocable() {
-			t.Error("token still held after commit")
+		tot := machine.Telem.Totals().Counters
+		if tot[telemetry.Escalations.String()] != 1 {
+			t.Errorf("escalations = %d, want 1", tot[telemetry.Escalations.String()])
+		}
+		if tot[telemetry.IrrevocableEntries.String()] != 1 {
+			t.Errorf("irrevocable entries = %d, want 1", tot[telemetry.IrrevocableEntries.String()])
+		}
+		if tot[telemetry.IrrevocableCyclesHeld.String()] == 0 {
+			t.Error("irrevocable entry held the token for zero cycles")
 		}
 	})
-	if got := machine.Mem.Load(ctr); got != 1 {
-		t.Fatalf("counter = %d, want 1", got)
-	}
-	tot := machine.Telem.Totals().Counters
-	if tot[telemetry.Escalations.String()] != 1 {
-		t.Errorf("escalations = %d, want 1", tot[telemetry.Escalations.String()])
-	}
-	if tot[telemetry.IrrevocableEntries.String()] != 1 {
-		t.Errorf("irrevocable entries = %d, want 1", tot[telemetry.IrrevocableEntries.String()])
-	}
-	if tot[telemetry.IrrevocableCyclesHeld.String()] == 0 {
-		t.Error("irrevocable entry held the token for zero cycles")
-	}
 }
 
 // irrevocableCfg arms the ladder with a zero budget and an explicit token,
@@ -64,30 +66,32 @@ func TestRetryAndAbortPanicWhenIrrevocable(t *testing.T) {
 	for _, call := range []string{"Retry", "Abort"} {
 		call := call
 		t.Run(call, func(t *testing.T) {
-			machine := testMachine(1)
-			s := New(machine, irrevocableCfg(machine))
-			machine.Run(func(c *sim.Ctx) {
-				th := s.Thread(c).(*Thread)
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Errorf("%s inside an irrevocable transaction did not panic", call)
-						return
-					}
-					if !strings.Contains(sprint(r), "irrevocable") {
-						t.Errorf("%s panic = %v, want the irrevocable diagnostic", call, r)
-					}
-				}()
-				_ = th.Atomic(func(tx tm.Txn) error {
-					if !th.Irrevocable() {
-						t.Error("zero budget did not make the first attempt irrevocable")
-					}
-					if call == "Retry" {
-						th.Retry()
-					} else {
-						th.Abort()
-					}
-					return nil
+			forEachPolicy(t, func(t *testing.T, newSys constructor) {
+				machine := testMachine(1)
+				s := newSys(machine, irrevocableCfg(machine))
+				machine.Run(func(c *sim.Ctx) {
+					th := s.Thread(c).(*Thread)
+					defer func() {
+						r := recover()
+						if r == nil {
+							t.Errorf("%s inside an irrevocable transaction did not panic", call)
+							return
+						}
+						if !strings.Contains(sprint(r), "irrevocable") {
+							t.Errorf("%s panic = %v, want the irrevocable diagnostic", call, r)
+						}
+					}()
+					_ = th.Atomic(func(tx tm.Txn) error {
+						if !th.Irrevocable() {
+							t.Error("zero budget did not make the first attempt irrevocable")
+						}
+						if call == "Retry" {
+							th.Retry()
+						} else {
+							th.Abort()
+						}
+						return nil
+					})
 				})
 			})
 		})
@@ -182,35 +186,37 @@ func (h *ladderSuspender) OnGrant(c *sim.Ctx) {
 // must not abort it: suspension invalidates hardware marks, not the
 // serial-mode guarantee. The transaction resumes and commits.
 func TestSuspensionDuringIrrevocableCommits(t *testing.T) {
-	machine := testMachine(2)
-	s := New(machine, irrevocableCfg(machine))
-	hook := &ladderSuspender{threads: make([]*Thread, 2)}
-	machine.SetFaultHook(hook)
-	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	prog := func(c *sim.Ctx) {
-		th := s.Thread(c).(*Thread)
-		hook.threads[c.ID()] = th
-		for i := 0; i < 5; i++ {
-			if err := th.Atomic(func(tx tm.Txn) error {
-				v := tx.Load(ctr)
-				tx.Exec(300)
-				tx.Store(ctr, v+1)
-				return nil
-			}); err != nil {
-				t.Errorf("Atomic: %v", err)
+	forEachPolicy(t, func(t *testing.T, newSys constructor) {
+		machine := testMachine(2)
+		s := newSys(machine, irrevocableCfg(machine))
+		hook := &ladderSuspender{threads: make([]*Thread, 2)}
+		machine.SetFaultHook(hook)
+		ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
+		prog := func(c *sim.Ctx) {
+			th := s.Thread(c).(*Thread)
+			hook.threads[c.ID()] = th
+			for i := 0; i < 5; i++ {
+				if err := th.Atomic(func(tx tm.Txn) error {
+					v := tx.Load(ctr)
+					tx.Exec(300)
+					tx.Store(ctr, v+1)
+					return nil
+				}); err != nil {
+					t.Errorf("Atomic: %v", err)
+				}
 			}
 		}
-	}
-	machine.Run(prog, prog)
-	if hook.hits == 0 {
-		t.Fatal("fault hook never caught a core in irrevocable mode")
-	}
-	if got := machine.Mem.Load(ctr); got != 10 {
-		t.Fatalf("counter = %d, want 10", got)
-	}
-	for core := 0; core < 2; core++ {
-		if aborts := machine.Stats.Cores[core].TotalAborts(); aborts != 0 {
-			t.Errorf("core %d aborted %d times despite running irrevocably", core, aborts)
+		machine.Run(prog, prog)
+		if hook.hits == 0 {
+			t.Fatal("fault hook never caught a core in irrevocable mode")
 		}
-	}
+		if got := machine.Mem.Load(ctr); got != 10 {
+			t.Fatalf("counter = %d, want 10", got)
+		}
+		for core := 0; core < 2; core++ {
+			if aborts := machine.Stats.Cores[core].TotalAborts(); aborts != 0 {
+				t.Errorf("core %d aborted %d times despite running irrevocably", core, aborts)
+			}
+		}
+	})
 }

@@ -1,12 +1,21 @@
 // Package stm implements the paper's base software transactional memory
-// (§4): strict two-phase locking for writes, optimistic concurrency control
-// with versioning for reads, in-place updates with an undo log (eager
-// version management), and eager conflict detection — the McRT-STM lineage
-// the paper builds on.
+// (§4) — the McRT-STM lineage the paper builds on: transaction records
+// holding odd versions or owner pointers, optimistic concurrency control
+// with read-set validation for reads, and a contention policy.
 //
-// The same engine also hosts HASTM: the hardware-acceleration points are
-// factored into the Accel interface, implemented by package core. A nil
-// Accel gives the pure software STM.
+// One engine (Thread) runs every record-based scheme: the attempt loop,
+// escalation ladder, closed nesting, retry/orElse, the read log and its
+// validation. Where writes live until commit is an unexported versioning
+// policy chosen by the constructor:
+//
+//   - eager-undo (New, NewWithAccel, NewWithTable): strict two-phase
+//     locking and in-place updates behind an undo log. It hosts HASTM: the
+//     hardware-acceleration points are factored into the Accel interface,
+//     implemented by package core. A nil Accel gives the pure software STM.
+//   - deferred-buffer (NewLazy): a per-transaction write buffer published
+//     by a sandboxed commit, so a failed commit publishes nothing.
+//   - mvcc-snapshot (NewMVCC): deferred-buffer writers plus a commit clock
+//     and version history, so read-only transactions never abort.
 package stm
 
 import (

@@ -14,8 +14,8 @@ import (
 // from an odd version number in a transaction record.
 const (
 	descRdLog   = 0  // read-set log pointer
-	descWrLog   = 8  // write-set log pointer
-	descUndoLog = 16 // undo log pointer
+	descWrLog   = 8  // write-set (eager) or write-buffer (deferred) log pointer
+	descUndoLog = 16 // undo log pointer (eager)
 	descMode    = 24 // mode word (aggressive flag, used by HASTM)
 	descSize    = 64 // one cache line, avoids false sharing
 )
@@ -33,41 +33,29 @@ type RecEntry struct {
 	Ver uint64
 }
 
-// UndoEntry records a data word's old value for rollback.
-type UndoEntry struct {
-	Addr uint64
-	Old  uint64
-}
-
-// The control-flow signals thrown through the user body with panic, the
-// nested-transaction savepoints, and the attempt/strike/escalation
-// bookkeeping are the backend-neutral state machine shared with the
-// host-native backend: tm.AbortSignal / tm.RetrySignal / tm.UserAbortSignal,
-// tm.Savepoint and tm.AttemptFSM.
+// The control-flow signals thrown through the user body with panic and
+// the attempt/strike/escalation bookkeeping are the backend-neutral state
+// machine shared with the host-native backend: tm.AbortSignal /
+// tm.RetrySignal / tm.UserAbortSignal and tm.AttemptFSM.
 
 // Thread is one core's software-transactional thread. It implements both
-// tm.Thread and tm.Txn.
+// tm.Thread and tm.Txn. The engine owns the attempt loop, the escalation
+// ladder, nesting, retry/orElse, the read log and its validation; where
+// writes live until commit is the versioning policy's business.
 type Thread struct {
-	sys   *System
-	ctx   *sim.Ctx
-	accel Accel
+	sys *System
+	ctx *sim.Ctx
+	pol policy
 
-	desc    uint64 // descriptor in simulated memory
-	tls     uint64 // simulated TLS slot holding the descriptor pointer
-	rdLog   uint64 // log array base addresses in simulated memory
-	wrLog   uint64
-	undoLog uint64
+	desc  uint64 // descriptor in simulated memory
+	tls   uint64 // simulated TLS slot holding the descriptor pointer
+	rdLog uint64 // log array base addresses in simulated memory
+	wrLog uint64
 
-	// Go-side mirrors of the simulated logs (identical contents; the
-	// simulated stores above charge the real cache/cycle costs).
-	reads  []RecEntry
-	writes []RecEntry
-	undo   []UndoEntry
-
-	writeVer map[uint64]uint64 // rec -> version at acquire, for validation
-	watch    []RecEntry        // retry wait-set accumulated across rollbacks
-
-	saves []tm.Savepoint
+	// Go-side mirror of the simulated read log (identical contents; the
+	// simulated stores charge the real cache/cycle costs).
+	reads []RecEntry
+	watch []RecEntry // retry wait-set accumulated across rollbacks
 
 	backoff            *tm.Backoff
 	readsSinceValidate int
@@ -89,12 +77,80 @@ type Thread struct {
 	// first attempt (admission control routing a hot-key transaction
 	// straight through the irrevocable ladder). Consumed by Atomic.
 	serializeNext bool
+
+	// writerPinned is set when a policy restarted the current top-level
+	// transaction with writerRestart; its remaining attempts skip the
+	// optimistic read-only mode, bounding restarts to one per transaction.
+	writerPinned bool
 }
 
 var (
 	_ tm.Thread = (*Thread)(nil)
 	_ tm.Txn    = (*Thread)(nil)
 )
+
+// savepoint marks the log sizes at a nested transaction's entry: the read
+// log, the policy's write log (write set or write buffer) and undo log, and
+// whether a read had been served from the version history.
+type savepoint struct {
+	reads, writes, undo int
+	histServed          bool
+}
+
+// writerRestart is thrown through the body by a policy whose optimistic
+// read-only attempt cannot become a writer: the attempt restarts pinned to
+// writer mode. Like tm.RetrySignal it unwinds the body without being an
+// abort.
+type writerRestart struct{}
+
+// policy is a versioning scheme: where an attempt's stores live until
+// commit, and how its reads are proven consistent. Each hook charges its
+// own simulated work; the engine never asks which policy it runs.
+type policy interface {
+	// begin resets the attempt's write state and stores the policy's own
+	// descriptor fields (inside the Commit category).
+	begin()
+	// load is the read barrier. rec is the covering transaction record;
+	// viaTable says it came from the global table (line granularity), so
+	// the barrier charges the record-address computation.
+	load(rec, addr uint64, viaTable bool) uint64
+	// store is the write barrier; the engine has charged the address
+	// computation for table records.
+	store(rec, addr, val uint64)
+	// commit validates and publishes the attempt, returning the commit
+	// trace detail. It leaves the Commit category set.
+	commit() (ok bool, cause stats.AbortCause, detail string)
+	// validate checks the read set (periodically, or at commit).
+	validate(atCommit bool) (bool, stats.AbortCause)
+	savepoint() savepoint
+	// rollbackTo reverts the write state to a nested savepoint; discard
+	// drops all of it after a failed top-level attempt.
+	rollbackTo(sp savepoint)
+	discard()
+	// end runs after commit or a terminal abort of an attempt.
+	end(committed bool)
+	// consistent re-checks the read set at zero simulated cost, to tell a
+	// zombie's foreign panic from a real one.
+	consistent() bool
+	// footprint returns the write and undo log sizes, and the gauge that
+	// tracks the write log's high-water mark.
+	footprint() (writes, undo int, gauge telemetry.Gauge)
+	// historyServed reports that a read was served from a version history:
+	// a watched location has already changed, so Retry must not wait.
+	historyServed() bool
+	// onAbort runs when a conflict aborts the attempt.
+	onAbort()
+	// logs exposes the write set and undo log to GCPause; ok is false for
+	// a policy without them.
+	logs() (writes []RecEntry, undo []UndoEntry, ok bool)
+}
+
+// singleVersion is the policy default for schemes without a version
+// history.
+type singleVersion struct{}
+
+func (singleVersion) historyServed() bool { return false }
+func (singleVersion) onAbort()            {}
 
 // Ctx returns the core context this thread runs on.
 func (t *Thread) Ctx() *sim.Ctx { return t.ctx }
@@ -121,9 +177,6 @@ func (t *Thread) Attempt() int { return t.fsm.Attempt() }
 // top-level transaction; it stays stable across that transaction's retries.
 func (t *Thread) TxnSeq() uint64 { return t.txnSeq }
 
-// Desc returns the simulated address of the transaction descriptor.
-func (t *Thread) Desc() uint64 { return t.desc }
-
 // ModeAddr returns the simulated address of the descriptor's mode word,
 // which the HASTM barriers test ("test [txndesc + mode], #aggressive").
 func (t *Thread) ModeAddr() uint64 { return t.desc + descMode }
@@ -149,6 +202,7 @@ func (t *Thread) Atomic(body func(tm.Txn) error) error {
 		t.fsm.ForceEscalate()
 	}
 	t.watch = t.watch[:0]
+	t.writerPinned = false
 	t.txnSeq++
 	for {
 		t.enterLadder()
@@ -168,7 +222,7 @@ func (t *Thread) Atomic(body func(tm.Txn) error) error {
 			}
 			committed, cause := t.commitTxn()
 			if committed {
-				t.finish(true)
+				t.finish()
 				return nil
 			}
 			t.afterAbort(cause)
@@ -181,9 +235,27 @@ func (t *Thread) Atomic(body func(tm.Txn) error) error {
 			// The wait set must capture the read set before the rollback
 			// truncates it.
 			t.watchReadsFrom(0)
+			served := t.pol.historyServed()
 			t.abandonAttempt(telemetry.EvRetry, "")
 			t.Stats().Retries++
-			t.waitForChange()
+			if !served {
+				// A history-served read means a watched location already
+				// changed since the snapshot: waiting for a change that has
+				// happened would deadlock, so such a retry takes the
+				// (permitted) spurious wakeup instead.
+				t.waitForChange()
+			}
+			t.fsm.OnRetryWait()
+		case writerRestart:
+			// The snapshot went stale before the attempt's first store: the
+			// reads cannot carry over into writer mode, so the attempt
+			// restarts pinned to the writer protocol. A strategy switch, not
+			// a conflict loss — the attempt index advances but no strike is
+			// charged and no abort is counted.
+			t.ctx.TraceEvent("writer-restart", "snapshot stale at first store")
+			t.abandonAttempt(telemetry.EvWriterRestart, "snapshot-stale")
+			t.ctx.Telem().Inc(telemetry.MVCCWriterRestarts)
+			t.writerPinned = true
 			t.fsm.OnRetryWait()
 		case tm.AbortSignal:
 			t.afterAbort(s.Cause)
@@ -208,15 +280,11 @@ func (t *Thread) AtomicSerialized(body func(tm.Txn) error) error {
 // failed (error-returning) transaction body emits.
 const BodyErrorCause = "body-error"
 
-// finish closes out a transaction after commit or a terminal abort.
-func (t *Thread) finish(committed bool) {
-	if t.accel != nil {
-		t.accel.End(t, committed)
-	}
+// finish closes out a transaction after commit.
+func (t *Thread) finish() {
+	t.pol.end(true)
 	t.exitLadder()
-	if committed {
-		t.backoff.Reset()
-	}
+	t.backoff.Reset()
 	t.inTxn = false
 }
 
@@ -274,32 +342,33 @@ func (t *Thread) exitLadder() {
 // token (for tests and fault hooks).
 func (t *Thread) Irrevocable() bool { return t.irrevocable }
 
-// observeSetSizes raises the log-pressure high-water marks to the current
-// set sizes; called at transaction end points, where the sets have reached
-// their peak for the attempt.
-func (t *Thread) observeSetSizes() {
+// footprint returns the attempt's write and undo log sizes and raises the
+// log-pressure high-water marks to the current set sizes; called at
+// transaction end points, where the sets have reached their peak for the
+// attempt.
+func (t *Thread) footprint() (writes, undo int) {
+	writes, undo, gauge := t.pol.footprint()
 	b := t.ctx.Telem()
 	b.ObserveMax(telemetry.ReadSetHWM, uint64(len(t.reads)))
-	b.ObserveMax(telemetry.WriteSetHWM, uint64(len(t.writes)))
-	b.ObserveMax(telemetry.UndoLogHWM, uint64(len(t.undo)))
+	b.ObserveMax(gauge, uint64(writes))
+	b.ObserveMax(telemetry.UndoLogHWM, uint64(undo))
+	return writes, undo
 }
 
 // abandonAttempt is the single exit path for every non-committing end of
-// a top-level attempt: conflict abort, explicit abort, retry-wait, body
-// error. Centralising it keeps the paths from diverging again — every
-// exit records the attempt's footprint in the set-size high-water marks
-// and emits a terminal trace event carrying the full (reads, writes,
-// undo) sizes, so begins always pair with terminals and the log-pressure
-// gauges cannot silently skip retry or error attempts.
+// a top-level attempt: conflict abort, explicit abort, retry-wait, writer
+// restart, body error. Centralising it keeps the paths from diverging
+// again — every exit records the attempt's footprint in the set-size
+// high-water marks and emits a terminal trace event carrying the full
+// (reads, writes, undo) sizes, so begins always pair with terminals and
+// the log-pressure gauges cannot silently skip retry or error attempts.
 func (t *Thread) abandonAttempt(kind, cause string) {
-	t.observeSetSizes()
+	writes, undo := t.footprint()
 	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
 		Kind: kind, Cause: cause,
-		Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)})
+		Reads: len(t.reads), Writes: writes, Undo: undo})
 	t.rollbackAll()
-	if t.accel != nil {
-		t.accel.End(t, false)
-	}
+	t.pol.end(false)
 	t.exitLadder()
 	t.inTxn = false
 }
@@ -307,6 +376,7 @@ func (t *Thread) abandonAttempt(kind, cause string) {
 // afterAbort rolls back and prepares the next attempt.
 func (t *Thread) afterAbort(cause stats.AbortCause) {
 	t.ctx.TraceEvent("abort", cause.String())
+	t.pol.onAbort()
 	t.abandonAttempt(telemetry.EvAbort, cause.String())
 	t.Stats().Aborts[cause]++
 	t.fsm.OnAbort()
@@ -325,7 +395,7 @@ func (t *Thread) runBody(body func(tm.Txn) error) (err error, sig interface{}) {
 		if r == nil {
 			return
 		}
-		if tm.IsEngineSignal(r) {
+		if _, restart := r.(writerRestart); restart || tm.IsEngineSignal(r) {
 			sig = r
 			return
 		}
@@ -334,7 +404,7 @@ func (t *Thread) runBody(body func(tm.Txn) error) (err error, sig interface{}) {
 			// boundary, never be misread as a zombie abort.
 			panic(r)
 		}
-		if !t.readsConsistent() {
+		if !t.pol.consistent() {
 			sig = tm.AbortSignal{Cause: stats.AbortValidation}
 			return
 		}
@@ -344,13 +414,14 @@ func (t *Thread) runBody(body func(tm.Txn) error) (err error, sig interface{}) {
 	return err, nil
 }
 
-// readsConsistent re-checks the read set directly against memory at zero
-// simulated cost; used only to classify foreign panics as zombie effects.
-func (t *Thread) readsConsistent() bool {
+// readsMatch re-checks the read set directly against memory at zero
+// simulated cost: every record must still hold its logged version, or be
+// owned by this transaction having displaced exactly that version.
+func (t *Thread) readsMatch(owned map[uint64]uint64) bool {
 	m := t.ctx.Machine().Mem
 	for _, e := range t.reads {
 		cur := m.Load(e.Rec)
-		if cur != e.Ver && !(cur == t.desc && t.writeVer[e.Rec] == e.Ver) {
+		if cur != e.Ver && !(cur == t.desc && owned[e.Rec] == e.Ver) {
 			return false
 		}
 	}
@@ -360,11 +431,7 @@ func (t *Thread) readsConsistent() bool {
 func (t *Thread) begin() {
 	t.inTxn = true
 	t.reads = t.reads[:0]
-	t.writes = t.writes[:0]
-	t.undo = t.undo[:0]
-	t.saves = t.saves[:0]
 	t.readsSinceValidate = 0
-	clear(t.writeVer)
 
 	ctx := t.ctx
 	ctx.TraceEvent("begin", fmt.Sprintf("attempt=%d", t.fsm.Attempt()))
@@ -377,61 +444,44 @@ func (t *Thread) begin() {
 	ctx.Exec(4) // descriptor setup
 	ctx.Store(t.desc+descRdLog, t.rdLog)
 	ctx.Store(t.desc+descWrLog, t.wrLog)
-	ctx.Store(t.desc+descUndoLog, t.undoLog)
+	t.pol.begin()
 	ctx.SetCat(prev)
 
-	if t.accel != nil {
-		t.accel.Begin(t, t.fsm.Attempt())
-	}
 	if t.irrevocable {
 		ctx.TraceEvent("irrevocable", "serial attempt, no abort path")
 		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(), Kind: telemetry.EvIrrevocable})
 		ctx.SetStatus("irrevocable", t.fsm.Attempt())
 	} else {
-		ctx.SetStatus("stm", t.fsm.Attempt())
+		ctx.SetStatus(t.sys.status, t.fsm.Attempt())
 	}
 }
 
 func (t *Thread) commitTxn() (bool, stats.AbortCause) {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.Validate)
-	ok, cause := t.validate(true)
-	ctx.SetCat(stats.Commit)
+	prev := ctx.SetCat(stats.Commit)
+	ok, cause, detail := t.pol.commit()
 	if ok {
-		t.releaseWrites()
 		ctx.Exec(8) // commit bookkeeping
 		t.Stats().Commits++
 		ctx.NoteCommit()
-		ctx.TraceEvent("commit", fmt.Sprintf("reads=%d writes=%d", len(t.reads), len(t.writes)))
-		t.observeSetSizes()
+		ctx.TraceEvent("commit", detail)
+		writes, undo := t.footprint()
 		ctx.Telem().ObserveMax(telemetry.RetryDepthHWM, uint64(t.fsm.Attempt()))
 		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
 			Kind:  telemetry.EvCommit,
-			Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)})
+			Reads: len(t.reads), Writes: writes, Undo: undo})
 	}
 	ctx.SetCat(prev)
 	return ok, cause
 }
 
-// validate checks the read set. With acceleration, the mark counter can
-// prove the read set intact without touching it (Fig 6). On failure the
-// returned cause distinguishes a real conflict from an aggressive-mode
-// transaction that merely lost the ability to validate (no read set to
-// fall back on).
-func (t *Thread) validate(atCommit bool) (bool, stats.AbortCause) {
-	if t.accel != nil {
-		skipFull, ok := t.accel.PreValidate(t, atCommit)
-		if !ok {
-			return false, stats.AbortAggressive
-		}
-		if skipFull {
-			t.Stats().FastValidations++
-			t.ctx.TraceEvent("validate", "fast (mark counter zero)")
-			return true, 0
-		}
-	}
+// validateReads is the full read-set validation: every logged record must
+// still hold its logged version, or be owned by this transaction (owned
+// maps record -> version at acquisition) having displaced exactly that
+// version. traceFormat formats the read count for the trace.
+func (t *Thread) validateReads(traceFormat string, owned map[uint64]uint64) (bool, stats.AbortCause) {
 	t.Stats().FullValidations++
-	t.ctx.TraceEvent("validate", fmt.Sprintf("full (%d reads)", len(t.reads)))
+	t.ctx.TraceEvent("validate", fmt.Sprintf(traceFormat, len(t.reads)))
 	ctx := t.ctx
 	ctx.Exec(2) // loop setup
 	for _, e := range t.reads {
@@ -442,7 +492,7 @@ func (t *Thread) validate(atCommit bool) (bool, stats.AbortCause) {
 		}
 		if cur == t.desc {
 			ctx.Exec(2)
-			if t.writeVer[e.Rec] == e.Ver {
+			if owned[e.Rec] == e.Ver {
 				continue // we own it and acquired it at the version we read
 			}
 		}
@@ -451,8 +501,9 @@ func (t *Thread) validate(atCommit bool) (bool, stats.AbortCause) {
 	return true, 0
 }
 
-// periodicValidate bounds zombie execution: every ValidateEvery read
-// barriers the read set is re-validated; a failure aborts immediately.
+// periodicValidate bounds zombie execution: every ValidateEvery logged
+// read barriers the read set is re-validated; a failure aborts
+// immediately.
 func (t *Thread) periodicValidate() {
 	every := t.sys.cfg.ValidateEvery
 	if every <= 0 {
@@ -465,60 +516,27 @@ func (t *Thread) periodicValidate() {
 	t.readsSinceValidate = 0
 	ctx := t.ctx
 	prev := ctx.SetCat(stats.Validate)
-	ok, cause := t.validate(false)
+	ok, cause := t.pol.validate(false)
 	ctx.SetCat(prev)
 	if !ok {
 		panic(tm.AbortSignal{Cause: cause})
 	}
 }
 
-func (t *Thread) releaseWrites() {
-	ctx := t.ctx
-	for _, w := range t.writes {
-		ctx.Store(w.Rec, NextVersion(w.Ver))
-		ctx.Exec(2)
-	}
-}
-
 // rollbackAll undoes every effect of the current attempt.
 func (t *Thread) rollbackAll() {
-	t.rollbackTo(tm.Savepoint{})
+	t.pol.discard()
+	t.reads = t.reads[:0]
 	ctx := t.ctx
 	prev := ctx.SetCat(stats.Commit)
 	ctx.Exec(8) // abort bookkeeping
 	ctx.SetCat(prev)
 }
 
-// rollbackTo reverts data and ownership to a savepoint (partial rollback
-// for nested transactions, full rollback for sp == zero).
-func (t *Thread) rollbackTo(sp tm.Savepoint) {
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Commit)
-
-	// Restore data from the undo log, newest first.
-	for i := len(t.undo) - 1; i >= sp.Undo; i-- {
-		e := t.undo[i]
-		ctx.Load(t.undoLog + uint64(i)*entryBytes)     // entry addr word
-		ctx.Load(t.undoLog + uint64(i)*entryBytes + 8) // entry value word
-		ctx.Store(e.Addr, e.Old)
-		ctx.Exec(2)
-	}
-	t.undo = t.undo[:sp.Undo]
-
-	// Release records acquired since the savepoint.
-	for i := len(t.writes) - 1; i >= sp.Writes; i-- {
-		w := t.writes[i]
-		ctx.Store(w.Rec, NextVersion(w.Ver))
-		ctx.Exec(2)
-		delete(t.writeVer, w.Rec)
-	}
-	t.writes = t.writes[:sp.Writes]
-
-	t.reads = t.reads[:sp.Reads]
-	if t.accel != nil {
-		t.accel.OnPartialRollback(t)
-	}
-	ctx.SetCat(prev)
+// rollbackTo reverts the attempt to a nested savepoint.
+func (t *Thread) rollbackTo(sp savepoint) {
+	t.pol.rollbackTo(sp)
+	t.reads = t.reads[:sp.reads]
 }
 
 // watchReadsFrom appends read-set entries at index >= n to the retry watch
@@ -553,29 +571,11 @@ func (t *Thread) waitForChange() {
 // --- Nesting, retry, orElse ------------------------------------------------
 
 func (t *Thread) nestedAtomic(body func(tm.Txn) error) error {
-	sp := tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
-	t.saves = append(t.saves, sp)
-	t.ctx.Exec(4) // nested begin
-	err, sig := t.runBody(body)
-	t.saves = t.saves[:len(t.saves)-1]
-	switch sig.(type) {
-	case nil:
-		if err != nil {
-			// Partial rollback: only the nested transaction's effects.
-			t.rollbackTo(sp)
-			return err
-		}
-		t.ctx.Exec(2) // nested commit merges into the parent
-		return nil
-	case tm.RetrySignal:
-		// Roll back progressively and propagate; the watch set keeps the
-		// nested reads so the waiter observes them.
-		t.watchReadsFrom(sp.Reads)
-		t.rollbackTo(sp)
+	err, retry := t.runNested(body)
+	if retry {
 		panic(tm.RetrySignal{})
-	default:
-		panic(sig) // conflict/user aborts unwind the whole transaction
 	}
+	return err
 }
 
 // OrElse implements composable blocking (§2, [11]): alternatives run as
@@ -587,28 +587,37 @@ func (t *Thread) OrElse(alternatives ...func(tm.Txn) error) error {
 		return t.Atomic(func(tx tm.Txn) error { return tx.OrElse(alternatives...) })
 	}
 	for _, alt := range alternatives {
-		sp := tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
-		t.saves = append(t.saves, sp)
-		t.ctx.Exec(4)
-		err, sig := t.runBody(alt)
-		t.saves = t.saves[:len(t.saves)-1]
-		switch sig.(type) {
-		case nil:
-			if err != nil {
-				t.rollbackTo(sp)
-				return err
-			}
-			t.ctx.Exec(2)
-			return nil
-		case tm.RetrySignal:
-			t.watchReadsFrom(sp.Reads)
-			t.rollbackTo(sp)
-			continue
-		default:
-			panic(sig)
+		if err, retry := t.runNested(alt); !retry {
+			return err
 		}
 	}
 	panic(tm.RetrySignal{})
+}
+
+// runNested runs body as a closed-nested transaction. A body error rolls
+// back only the nested transaction's effects; a Retry rolls them back too
+// and reports retry, keeping the nested reads in the watch set so the
+// waiter observes them. Conflict and user aborts, and writer restarts,
+// unwind the whole transaction.
+func (t *Thread) runNested(body func(tm.Txn) error) (err error, retry bool) {
+	sp := t.pol.savepoint()
+	t.ctx.Exec(4) // nested begin
+	err, sig := t.runBody(body)
+	switch sig.(type) {
+	case nil:
+		if err != nil {
+			t.rollbackTo(sp)
+			return err, false
+		}
+		t.ctx.Exec(2) // nested commit merges into the parent
+		return nil, false
+	case tm.RetrySignal:
+		t.watchReadsFrom(sp.reads)
+		t.rollbackTo(sp)
+		return nil, true
+	default:
+		panic(sig)
+	}
 }
 
 // Exec charges application compute to the simulated clock (attributed to
@@ -654,30 +663,25 @@ func (t *Thread) AbortConflictForTest() {
 	panic(tm.AbortSignal{Cause: stats.AbortValidation})
 }
 
-// --- Introspection / suspension ---------------------------------------------
-
 // GCPause models §5's language-environment integration: the transaction is
 // suspended, a collector or tool inspects (and may patch) its logs and even
 // transactionally written objects, and the transaction resumes WITHOUT
 // aborting. The hardware cost is a ring transition: all mark bits are
 // discarded and the mark counter bumps, so the transaction merely falls
-// back to full software validation at commit.
+// back to full software validation at commit. Only the eager policy keeps
+// the write set and undo log an inspector expects; GCPause panics on a
+// deferred-update thread.
 func (t *Thread) GCPause(inspect func(reads, writes []RecEntry, undo []UndoEntry)) {
+	writes, undo, ok := t.pol.logs()
+	if !ok {
+		panic("stm: GCPause requires an eager-versioning thread (STM or HASTM)")
+	}
 	t.requireTxn()
 	if inspect != nil {
-		inspect(t.reads, t.writes, t.undo)
+		inspect(t.reads, writes, undo)
 	}
 	t.ctx.RingTransition()
 }
-
-// ReadSetSize returns the current number of read-set entries.
-func (t *Thread) ReadSetSize() int { return len(t.reads) }
-
-// WriteSetSize returns the current number of write-set entries.
-func (t *Thread) WriteSetSize() int { return len(t.writes) }
-
-// UndoLogSize returns the current number of undo entries.
-func (t *Thread) UndoLogSize() int { return len(t.undo) }
 
 // --- Barriers ---------------------------------------------------------------
 
@@ -700,21 +704,7 @@ func (t *Thread) appLoad(addr uint64) uint64 {
 // table (cache-line-granularity conflict detection).
 func (t *Thread) Load(addr uint64) uint64 {
 	t.requireTxn()
-	if t.accel != nil && t.sys.cfg.Granularity == tm.LineGranularity {
-		if v, ok := t.accel.FilterData(t, addr); ok {
-			t.Stats().FilteredReads++
-			return v
-		}
-	}
-	t.chargeAddrCompute(stats.RdBar)
-	rec := t.sys.table.RecordFor(addr)
-	t.recordReadBarrier(rec)
-	if t.accel != nil && t.sys.cfg.Granularity == tm.LineGranularity {
-		// Trailing loadsetmark_granularity64 both marks the data line and
-		// performs the data load (Fig 7).
-		return t.accel.MarkData(t, addr)
-	}
-	return t.appLoad(addr)
+	return t.pol.load(t.sys.table.RecordFor(addr), addr, true)
 }
 
 // LoadObj transactionally reads the field at offset off of the object
@@ -729,77 +719,14 @@ func (t *Thread) LoadObj(base, off uint64) uint64 {
 	if off < 8 {
 		panic(fmt.Sprintf("stm: LoadObj offset %d overlaps the header", off))
 	}
-	t.recordReadBarrier(base)
-	return t.appLoad(base + off)
-}
-
-// recordReadBarrier is stmRdBar (Fig 3/4) with the HASTM fast paths
-// (Fig 5/8) plugged in via the accel hooks.
-func (t *Thread) recordReadBarrier(rec uint64) {
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.RdBar)
-	defer ctx.SetCat(prev)
-
-	var v uint64
-	if t.accel != nil {
-		// Object granularity filters on the record (Fig 5/8); line
-		// granularity does so only under the §5 two-level option ("the
-		// read barrier slow path checks whether the transaction record is
-		// marked before executing the rest of the slow path") — the hook
-		// knows which applies.
-		if t.accel.FilterRecord(t, rec) {
-			ctx.Exec(1) // jnae done
-			t.Stats().FilteredReads++
-			return
-		}
-		v = t.accel.LoadRecordForRead(t, rec)
-		ctx.Exec(2) // test versionmask + jz
-	} else {
-		v = ctx.Load(rec)
-		ctx.Exec(2) // cmp txndesc + jeq
-		if v == t.desc {
-			return
-		}
-		ctx.Exec(2) // test versionmask + jz
-	}
-
-	if !IsVersion(v) {
-		if v == t.desc {
-			return // recursion: we already own it exclusively
-		}
-		v = t.handleContention(rec)
-	}
-
-	t.Stats().UnfilteredReads++
-	if t.accel == nil || t.accel.ShouldLogRead(t) {
-		t.logRead(rec, v)
-	} else {
-		t.Stats().ReadLogsSkipped++
-	}
-	t.periodicValidate()
-}
-
-func (t *Thread) logRead(rec, ver uint64) {
-	if len(t.reads) >= logCap {
-		panic("stm: read-set log overflow; raise logCap or shorten the transaction")
-	}
-	ctx := t.ctx
-	logPtr := ctx.Load(t.desc + descRdLog)
-	ctx.Exec(3) // overflow test, branch, pointer add
-	ctx.Store(t.desc+descRdLog, logPtr+entryBytes)
-	ctx.Store(logPtr, rec)
-	ctx.Store(logPtr+8, ver)
-	t.reads = append(t.reads, RecEntry{rec, ver})
-	t.Stats().ReadsLogged++
+	return t.pol.load(base, base+off, false)
 }
 
 // Store transactionally writes the word at addr (line-granularity record).
 func (t *Thread) Store(addr, val uint64) {
 	t.requireTxn()
 	t.chargeAddrCompute(stats.WrBar)
-	rec := t.sys.table.RecordFor(addr)
-	t.recordWriteBarrier(rec)
-	t.undoLogAndStore(addr, val)
+	t.pol.store(t.sys.table.RecordFor(addr), addr, val)
 }
 
 // StoreObj transactionally writes a field of the object at base.
@@ -812,117 +739,34 @@ func (t *Thread) StoreObj(base, off, val uint64) {
 	if off < 8 {
 		panic(fmt.Sprintf("stm: StoreObj offset %d overlaps the header", off))
 	}
-	t.recordWriteBarrier(base)
-	t.undoLogAndStore(base+off, val)
+	t.pol.store(base, base+off, val)
 }
 
-// recordWriteBarrier is stmWrBar (Fig 3): acquire the record exclusively
-// with a CAS, logging the displaced version in the write set.
-func (t *Thread) recordWriteBarrier(rec uint64) {
+// logRead appends a record and the version it held to the read set.
+func (t *Thread) logRead(rec, ver uint64) {
+	if len(t.reads) >= logCap {
+		panic("stm: read-set log overflow; raise logCap or shorten the transaction")
+	}
+	t.appendLog(descRdLog, rec, ver)
+	t.reads = append(t.reads, RecEntry{rec, ver})
+	t.Stats().ReadsLogged++
+}
+
+// appendLog appends one two-word entry to the simulated log whose cursor
+// lives at descriptor offset slot.
+func (t *Thread) appendLog(slot, a, b uint64) {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.WrBar)
-	defer ctx.SetCat(prev)
-
-	if t.accel != nil && t.accel.FilterWriteOwned(t, rec) {
-		// Plane-1 mark intact: the record is still exclusively ours.
-		t.Stats().FilteredWrites++
-		return
-	}
-
-	v := ctx.Load(rec)
-	ctx.Exec(2)
-	if v == t.desc {
-		return
-	}
-	ctx.Exec(2)
-	if !IsVersion(v) {
-		v = t.handleContention(rec)
-	}
-	for {
-		ok, cur := ctx.CAS(rec, v, t.desc)
-		if ok {
-			break
-		}
-		ctx.Exec(1)
-		if IsVersion(cur) {
-			v = cur // raced with a release; retry at the new version
-			continue
-		}
-		v = t.handleContention(rec)
-	}
-	t.logWrite(rec, v)
-	if t.accel != nil {
-		t.accel.MarkRecordOnWrite(t, rec)
-		t.accel.MarkWriteOwned(t, rec)
-	}
+	logPtr := ctx.Load(t.desc + slot)
+	ctx.Exec(3) // overflow test, branch, pointer add
+	ctx.Store(t.desc+slot, logPtr+entryBytes)
+	ctx.Store(logPtr, a)
+	ctx.Store(logPtr+8, b)
 }
 
-func (t *Thread) logWrite(rec, ver uint64) {
-	if len(t.writes) >= logCap {
-		panic("stm: write-set log overflow; raise logCap or shorten the transaction")
-	}
-	ctx := t.ctx
-	logPtr := ctx.Load(t.desc + descWrLog)
-	ctx.Exec(3)
-	ctx.Store(t.desc+descWrLog, logPtr+entryBytes)
-	ctx.Store(logPtr, rec)
-	ctx.Store(logPtr+8, ver)
-	t.writes = append(t.writes, RecEntry{rec, ver})
-	t.writeVer[rec] = ver
-}
-
-// undoLogAndStore logs the old value of addr and performs the in-place
-// update (eager version management, §4). With the write-filtering
-// extension active, logging happens once per 16-byte sub-block (both
-// words captured) and plane-1 marks elide the duplicates.
-func (t *Thread) undoLogAndStore(addr, val uint64) {
-	if len(t.undo) >= logCap-1 {
-		panic("stm: undo log overflow; raise logCap or shorten the transaction")
-	}
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.WrBar)
-
-	if t.accel != nil && t.accel.UndoFilterEnabled() {
-		if t.accel.FilterUndo(t, addr) {
-			t.Stats().UndoLogsSkipped++
-		} else {
-			// First store to this sub-block: capture both of its words so
-			// later (filtered) stores to either are covered by replay.
-			sub := addr &^ 15
-			m := ctx.Machine().Mem
-			for off := uint64(0); off < 16; off += 8 {
-				w := sub + off
-				if !m.Allocated(w) {
-					continue // padding word outside any allocation
-				}
-				t.appendUndo(w, ctx.Load(w))
-			}
-			t.accel.MarkUndo(t, addr)
-		}
-	} else {
-		t.appendUndo(addr, ctx.Load(addr))
-	}
-
-	ctx.SetCat(stats.App)
-	ctx.Store(addr, val)
-	ctx.SetCat(prev)
-}
-
-// appendUndo writes one undo entry to the simulated log and the mirror.
-func (t *Thread) appendUndo(addr, old uint64) {
-	ctx := t.ctx
-	logPtr := ctx.Load(t.desc + descUndoLog)
-	ctx.Exec(3)
-	ctx.Store(t.desc+descUndoLog, logPtr+entryBytes)
-	ctx.Store(logPtr, addr)
-	ctx.Store(logPtr+8, old)
-	t.undo = append(t.undo, UndoEntry{addr, old})
-}
-
-// handleContention resolves an ownership conflict per the configured
-// policy, returning the record's version once it is shared again, or
-// aborting the transaction (by panic).
-func (t *Thread) handleContention(rec uint64) uint64 {
+// waitShared is the contention policy's bounded wait for a foreign-owned
+// record: it returns the record's version once it is shared again, or
+// false when the policy's bound runs out.
+func (t *Thread) waitShared(rec uint64) (uint64, bool) {
 	var limit int
 	switch t.sys.cfg.Policy {
 	case tm.AbortSelf:
@@ -941,8 +785,18 @@ func (t *Thread) handleContention(rec uint64) uint64 {
 		v := ctx.Load(rec)
 		ctx.Exec(2)
 		if IsVersion(v) {
-			return v
+			return v, true
 		}
+	}
+	return 0, false
+}
+
+// handleContention resolves an ownership conflict met by a barrier,
+// returning the record's version once it is shared again, or aborting the
+// transaction (by panic).
+func (t *Thread) handleContention(rec uint64) uint64 {
+	if v, ok := t.waitShared(rec); ok {
+		return v
 	}
 	panic(tm.AbortSignal{Cause: stats.AbortLockConflict})
 }

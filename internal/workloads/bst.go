@@ -191,18 +191,20 @@ func (b *BST) Populate(m *mem.Memory, r *Rand) {
 // CheckInvariants walks the tree through raw memory and verifies the
 // search invariant: every node's key lies strictly inside the open
 // interval its ancestors imply, keys are within the key universe, and the
-// walk terminates (no cycles, no runaway size).
+// walk terminates (no cycles, no runaway size). Every node holds a
+// distinct key of the key universe, so a walk that visits more than
+// keySpace nodes has met a cycle or corruption.
 func (b *BST) CheckInvariants(m *mem.Memory) error {
 	d := Direct{M: m}
-	visited := 0
+	var visited uint64
 	var walk func(node, lo, hi uint64, hasLo, hasHi bool) error
 	walk = func(node, lo, hi uint64, hasLo, hasHi bool) error {
 		if node == 0 {
 			return nil
 		}
 		visited++
-		if visited > maxTreeSteps {
-			return fmt.Errorf("bst: walk exceeded %d nodes (cycle or corruption)", maxTreeSteps)
+		if visited > b.keySpace {
+			return fmt.Errorf("bst: walk exceeded %d nodes, the key space (cycle or corruption)", b.keySpace)
 		}
 		k := d.Load(node + bstKey)
 		if k >= b.keySpace {

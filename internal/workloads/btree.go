@@ -254,7 +254,9 @@ func (t *BTree) insertNonFull(tx tm.Txn, node, key, val uint64) bool {
 // increasing within a node and confined to the half-open window
 // [lo, hi) the ancestors' separators imply (equal keys descend right, so
 // the lower bound is inclusive), non-nil children on internal nodes, and
-// all leaves at the same depth.
+// all leaves at the same depth. Every node but an empty root holds at
+// least one distinct key of the key universe, so a walk that visits more
+// than keySpace+1 nodes has met a cycle or corruption.
 func (t *BTree) CheckInvariants(m *mem.Memory) error {
 	d := Direct{M: m}
 	root := d.Load(t.rootCell)
@@ -262,12 +264,12 @@ func (t *BTree) CheckInvariants(m *mem.Memory) error {
 		return fmt.Errorf("btree: nil root")
 	}
 	leafDepth := -1
-	visited := 0
+	var visited uint64
 	var walk func(node uint64, depth int, lo, hi uint64, hasLo, hasHi bool) error
 	walk = func(node uint64, depth int, lo, hi uint64, hasLo, hasHi bool) error {
 		visited++
-		if visited > maxTreeSteps {
-			return fmt.Errorf("btree: walk exceeded %d nodes (cycle or corruption)", maxTreeSteps)
+		if visited > t.keySpace+1 {
+			return fmt.Errorf("btree: walk exceeded %d nodes, the key space + 1 (cycle or corruption)", t.keySpace+1)
 		}
 		n, leaf := btDecode(d.Load(node + btCount))
 		if n > btMaxKeys {

@@ -7,7 +7,6 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/core"
 	"hastm.dev/hastm/internal/htm"
-	"hastm.dev/hastm/internal/lazystm"
 	"hastm.dev/hastm/internal/locksync"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
@@ -61,9 +60,9 @@ func buildDiffScheme(name string, machine *sim.Machine, cores int) tm.System {
 	case "stm":
 		return stm.New(machine, stmCfg)
 	case "lazy":
-		return lazystm.New(machine, stmCfg)
+		return stm.NewLazy(machine, stmCfg)
 	case "mvcc":
-		return lazystm.NewMVCC(machine, stmCfg)
+		return stm.NewMVCC(machine, stmCfg)
 	case "hastm":
 		cfg := core.DefaultConfig(tm.LineGranularity)
 		cfg.SingleThread = cores == 1

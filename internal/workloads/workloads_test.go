@@ -281,6 +281,24 @@ func TestBTreeInvariantsProperty(t *testing.T) {
 	}
 }
 
+// The whole-tree invariant walks are bounded by the key space, not by the
+// per-path traversal bound: a valid tree may hold more than maxTreeSteps
+// nodes.
+func TestTreeInvariantsAcceptLargeTrees(t *testing.T) {
+	m := mem.New()
+	r := NewRand(1)
+	bst := NewBST(m, 2*maxTreeSteps)
+	bst.Populate(m, r)
+	if err := bst.CheckInvariants(m); err != nil {
+		t.Errorf("valid %d-key BST: %v", 2*maxTreeSteps, err)
+	}
+	bt := NewBTree(m, 12*maxTreeSteps)
+	bt.Populate(m, r)
+	if err := bt.CheckInvariants(m); err != nil {
+		t.Errorf("valid %d-key B-tree: %v", 12*maxTreeSteps, err)
+	}
+}
+
 // --- Concurrent runs under the STM -------------------------------------------
 
 func TestStructuresConcurrentUnderSTM(t *testing.T) {
