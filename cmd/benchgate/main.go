@@ -268,8 +268,14 @@ type result struct {
 	samples int
 }
 
-// benchLine matches `BenchmarkName[-P]  iters  X ns/op [Y B/op  Z allocs/op]`.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\S+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// benchLine matches `BenchmarkName[-P]  iters  X ns/op`; the -benchmem
+// columns follow any custom metrics (b.ReportMetric), so benchBytes and
+// benchAllocs find them wherever they sit on the line.
+var (
+	benchLine   = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\S+) ns/op`)
+	benchBytes  = regexp.MustCompile(`\s(\d+) B/op(?:\s|$)`)
+	benchAllocs = regexp.MustCompile(`\s(\d+) allocs/op(?:\s|$)`)
+)
 
 // parseBench reads `go test -bench -benchmem` text output and returns the
 // median result per benchmark, keyed "pkgsuffix/Name" (e.g.
@@ -300,9 +306,11 @@ func parseBench(r io.Reader) (map[string]BaselineEntry, error) {
 			return nil, fmt.Errorf("bad ns/op in %q: %v", line, err)
 		}
 		s := sample{nsPerOp: ns}
-		if m[3] != "" {
-			s.bytesPerOp, _ = strconv.ParseUint(m[3], 10, 64)
-			s.allocsPerOp, _ = strconv.ParseUint(m[4], 10, 64)
+		if b := benchBytes.FindStringSubmatch(line); b != nil {
+			s.bytesPerOp, _ = strconv.ParseUint(b[1], 10, 64)
+		}
+		if a := benchAllocs.FindStringSubmatch(line); a != nil {
+			s.allocsPerOp, _ = strconv.ParseUint(a[1], 10, 64)
 		}
 		name := strings.TrimPrefix(m[1], "Benchmark")
 		key := name

@@ -40,6 +40,22 @@ func TestParseBenchMedians(t *testing.T) {
 	}
 }
 
+// A benchmark that reports a custom metric prints it between ns/op and
+// the -benchmem columns; allocs/op must still be read, or the allocation
+// gate passes anything.
+func TestParseBenchCustomMetricLine(t *testing.T) {
+	const out = "pkg: hastm.dev/hastm/internal/native\n" +
+		"BenchmarkNativeChaosOverhead/off-2    \t  189882\t      1099 ns/op\t    910265 txn/s\t     128 B/op\t       2 allocs/op\n"
+	got, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := got["internal/native/NativeChaosOverhead/off"]
+	if e.NsPerOp != 1099 || e.BytesPerOp != 128 || e.AllocsPerOp != 2 || e.Samples != 1 {
+		t.Errorf("NativeChaosOverhead/off entry = %+v, want 1099 ns/op, 128 B/op, 2 allocs/op", e)
+	}
+}
+
 func baselineFor(entries map[string]BaselineEntry) *Baseline {
 	return &Baseline{Schema: baselineSchema, Benchmarks: entries}
 }

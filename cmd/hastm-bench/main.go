@@ -366,7 +366,7 @@ func runService(o harness.Options, nativeBackend bool, workers int, progress, js
 	reports := harness.Execute(plans, cfg)
 	elapsed := time.Since(start)
 
-	if traceF != "" && !nativeBackend {
+	if traceF != "" {
 		tw := stderrSync
 		var f *os.File
 		if traceF != "-" {
@@ -463,7 +463,7 @@ func realMain() int {
 		jsonF    = flag.Bool("json", false, "emit a JSON report with per-cell host timings")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for experiment cells (1 = serial)")
 		progress = flag.Bool("progress", false, "print per-cell completion lines to stderr")
-		traceF   = flag.String("trace", "", "write a per-transaction JSONL event trace to this file ('-' = stderr)")
+		traceF   = flag.String("trace", "", "write a per-transaction JSONL event trace to this file ('-' = stderr); simulator backend only")
 		traceMax = flag.Int("trace-max", telemetry.DefaultTraceLimit, "per-cell transaction-event cap for -trace")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		faultsF  = flag.String("faults", "", "run the fault-injection conformance sweep with this spec (e.g. suspend=900,evict=600,seed=3)")
@@ -587,10 +587,16 @@ func realMain() int {
 	switch *backendF {
 	case "sim":
 	case "native":
+		if *traceF != "" {
+			// No native mode emits transaction events yet; a trace flag
+			// that silently wrote nothing would pass for an empty trace.
+			fmt.Fprintln(os.Stderr, "hastm-bench: -trace is not supported with -backend native")
+			return 2
+		}
 		if *svcF {
 			// o.Chaos flows into the native service cells: the degradation
 			// ladder and watchdogs run with the plane armed.
-			return runService(o, true, *workers, *progress, *jsonF, *csvF, *traceF)
+			return runService(o, true, *workers, *progress, *jsonF, *csvF, "")
 		}
 		if chaosSpec.Enabled() {
 			return runChaosStorm(chaosSpec, o, *jsonF, *progress)

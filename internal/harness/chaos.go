@@ -122,9 +122,6 @@ func runNativeDiff(workload string, threads int, o Options, spec native.ChaosSpe
 		Threads: threads,
 		Chaos:   spec,
 	})
-	for g := 0; g < threads; g++ {
-		sys.Thread(g)
-	}
 	sys.StartWatchdog()
 
 	per := o.Ops / threads

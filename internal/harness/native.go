@@ -49,12 +49,6 @@ func RunOneNative(workload string, threads int, o Options, updatePct int) (RunMe
 		Threads: threads,
 		Chaos:   o.Chaos,
 	})
-	// Pre-create every thread handle before any goroutine (the watchdog
-	// included) runs: the watchdog scans the handle table, and lazy
-	// creation inside the workers would race with it.
-	for g := 0; g < threads; g++ {
-		sys.Thread(g)
-	}
 	sys.StartWatchdog()
 
 	warm := o.Warmup

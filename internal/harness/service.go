@@ -299,11 +299,6 @@ func RunOneServiceNative(threads int, sc service.Config, o Options) (RunMetrics,
 		Threads: threads,
 		Chaos:   o.Chaos,
 	})
-	// Pre-create the handles so the watchdog's handle-table scan never
-	// races with lazy creation inside the workers.
-	for g := 0; g < threads; g++ {
-		sys.Thread(g)
-	}
 	sys.StartWatchdog()
 
 	var ready, wg sync.WaitGroup

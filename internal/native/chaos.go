@@ -36,8 +36,8 @@ const (
 	// pointWait is inside the retry path, just before the transaction
 	// subscribes to commit notifications in waitForChange.
 	pointWait
-	// pointIrrevocable is inside the serial section, after the exclusive
-	// lock is taken and before the body runs.
+	// pointIrrevocable is inside the serial section, after every
+	// revocable attempt has drained and before the body runs.
 	pointIrrevocable
 	numChaosPoints
 )
@@ -61,10 +61,10 @@ func (p chaosPoint) String() string {
 type chaosKind uint8
 
 const (
-	kindStall chaosKind = iota // sleep at a drawn point with locks held
-	kindPreempt                // Gosched burst: simulate an OS preemption
-	kindAbort                  // spurious conflict abort mid-commit
-	kindWakeDelay              // delay a retry waiter's wakeup processing
+	kindStall     chaosKind = iota // sleep at a drawn point with locks held
+	kindPreempt                    // Gosched burst: simulate an OS preemption
+	kindAbort                      // spurious conflict abort mid-commit
+	kindWakeDelay                  // delay a retry waiter's wakeup processing
 	numChaosKinds
 )
 
@@ -380,7 +380,7 @@ func (s *System) ChaosReport() *ChaosReport {
 	}
 	var ids []int
 	for id, t := range s.threads {
-		if t != nil && t.chaos != nil {
+		if t.chaos != nil {
 			ids = append(ids, id)
 		}
 	}

@@ -200,9 +200,6 @@ func TestLostWakeupSoak(t *testing.T) {
 		Chaos:    ChaosSpec{WakeDelay: 3, WakeDelayNS: 1000, Seed: 5},
 		Watchdog: Watchdog{WakeDeadline: time.Millisecond},
 	})
-	for g := 0; g < 2*pairs; g++ {
-		sys.Thread(g)
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, 2*pairs)
 	for g := 0; g < pairs; g++ {

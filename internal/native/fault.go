@@ -27,7 +27,7 @@ type stopSignal struct{}
 // native analogue of the simulator's CoreFault. Containment runs before
 // the fault surfaces: owned stripe locks are restored to their pre-lock
 // versions, an irrevocable transaction's undo log is replayed and the
-// serial lock released, and the thread's mode flags are reset, so the
+// serial section left, and the thread's mode flags are reset, so the
 // system stays usable and the fault is a per-transaction error, not a
 // process poison.
 type TxnFault struct {

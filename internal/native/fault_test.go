@@ -80,9 +80,9 @@ func TestTxnFaultContainsBodyPanic(t *testing.T) {
 }
 
 // A foreign panic inside the serial irrevocable section is the worst
-// case: eager stores are already in memory and the serial lock is held
-// exclusively. Containment must replay the undo log, release the lock and
-// report an irrevocable TxnFault — other threads must not deadlock.
+// case: eager stores are already in memory and every other transaction is
+// held out. Containment must replay the undo log, leave the serial section
+// and report an irrevocable TxnFault — other threads must not deadlock.
 func TestTxnFaultContainsIrrevocablePanic(t *testing.T) {
 	m := mem.New()
 	slot := m.Alloc(mem.WordSize, mem.LineSize)
@@ -114,7 +114,7 @@ func TestTxnFaultContainsIrrevocablePanic(t *testing.T) {
 	if got := m.Load(slot); got != 7 {
 		t.Fatalf("undo log not replayed: slot = %d, want 7", got)
 	}
-	// The serial lock must be free: a transaction on the other thread —
+	// The serial section must be open: a transaction on the other thread —
 	// including one that escalates itself — completes.
 	if err := other.Atomic(func(tx tm.Txn) error { tx.Store(slot, tx.Load(slot)+1); return nil }); err != nil {
 		t.Fatalf("transaction after irrevocable fault: %v", err)

@@ -27,11 +27,17 @@
 //  4. wv is the transaction's serialization stamp: any transaction that
 //     observes its effects reads stripe versions >= wv and so has rv >=
 //     wv. Committed-op logs sorted by stamp replay the run serially.
-//  5. An escalated (irrevocable) transaction holds the serial lock
-//     exclusively — every revocable attempt runs under the shared side —
-//     writes eagerly with an undo log (so nesting still rolls back
-//     partially), and bumps the stripes it touched at commit so retry
-//     waiters observe the change.
+//  5. An escalated (irrevocable) transaction runs alone: it takes the
+//     ladder mutex, raises the system's excl flag and waits until every
+//     thread's active slot is clear. A revocable attempt stores its slot
+//     and then loads excl, backing off to the mutex if excl is set; the
+//     escalator stores excl and then loads every slot. Go's sync/atomic
+//     operations are sequentially consistent, so by Dekker's argument at
+//     least one side sees the other's store and the two never overlap.
+//     Readers write only their own slot's cache line. The escalated
+//     transaction writes eagerly with an undo log (so nesting still rolls
+//     back partially), and bumps the stripes it touched at commit so
+//     retry waiters observe the change.
 package native
 
 import (
@@ -66,10 +72,10 @@ type Config struct {
 	// moment they happen, so there is nothing for a periodic pass to add.
 	// Progress.RetryBudget arms the escalation ladder; Progress.Token is a
 	// simulated-memory construct and is ignored (the native ladder is the
-	// serial RWMutex).
+	// per-thread active slots plus the excl flag; see invariant 5).
 	TM tm.Config
-	// Threads is the number of Thread handles the system will hand out
-	// (sizes the per-thread stats and telemetry blocks).
+	// Threads is the number of Thread handles New creates (and sizes the
+	// per-thread stats and telemetry blocks).
 	Threads int
 	// ArenaBytes sizes the transactional allocation arena carved out of
 	// the address space at creation; 0 means 4 MiB. Transactions must
@@ -88,43 +94,53 @@ type Config struct {
 	Watchdog Watchdog
 }
 
+// cacheLinePad keeps the fields on either side of it off one cache line.
+type cacheLinePad [64]byte
+
 // System is one native TL2 instance over a memory.
 type System struct {
-	m   *mem.Memory
-	cfg Config
-
-	clock   atomic.Uint64 // global version clock, always even
+	m       *mem.Memory
+	cfg     Config
 	stripes []stripe
 	mask    uint64
+	armed   bool // the escalation ladder is in force (RetryBudget > 0)
+	threads []*Thread
+	stats   *stats.Machine
+	telem   *telemetry.Machine
+	// failed holds the first watchdog violation; with the threads' commit
+	// counts it is the watchdog plane's shared state (see watchdog.go).
+	failed atomic.Pointer[NativeProgressViolation]
 
-	// serial is the escalation ladder: revocable attempts run under the
-	// shared side, an escalated transaction takes the exclusive side and
-	// so drains and excludes every other attempt. Only used when armed.
-	serial sync.RWMutex
-	armed  bool
+	// The fields above are read on every transaction and written only by
+	// New (failed: by the one watchdog trip); the padding keeps every
+	// writer commit's clock tick from invalidating them.
+	_     cacheLinePad
+	clock atomic.Uint64 // global version clock, always even
+	_     cacheLinePad
+
+	// excl is raised while an escalated transaction runs or drains the
+	// active slots; serialMu serialises escalators and is where a
+	// revocable attempt that finds excl set waits (invariant 5). Every
+	// attempt reads excl, so it shares no line with a hot written field.
+	excl     atomic.Bool
+	serialMu sync.Mutex
+	_        cacheLinePad
 
 	// wakeMu/wakeCh implement Txn.Retry wakeup as a generation channel:
-	// every writer commit closes the current channel and installs a fresh
-	// one; waiters snapshot the channel before re-checking their watched
-	// stripes, so a change can never slip between the check and the wait.
-	// Unlike a sync.Cond this supports the bounded wake deadline.
-	wakeMu sync.Mutex
-	wakeCh chan struct{}
+	// a commit that finds waiters registered closes the current channel
+	// and installs a fresh one; waiters register, then snapshot the
+	// channel before re-checking their watched stripes, so a change can
+	// never slip between the check and the wait. Unlike a sync.Cond this
+	// supports the bounded wake deadline.
+	waiters atomic.Int32
+	wakeMu  sync.Mutex
+	wakeCh  chan struct{}
+	_       cacheLinePad
 
 	arenaNext atomic.Uint64
 	arenaEnd  uint64
-
-	// commitSeq counts every commit (revocable or irrevocable); failed
-	// holds the first watchdog violation. Together they are the watchdog
-	// plane's shared state (see watchdog.go).
-	commitSeq atomic.Uint64
-	failed    atomic.Pointer[NativeProgressViolation]
 	wdStop    chan struct{}
 	wdDone    chan struct{}
-
-	stats   *stats.Machine
-	telem   *telemetry.Machine
-	threads []*Thread
 }
 
 // New builds a native system over m. Call after the workload's structures
@@ -154,6 +170,9 @@ func New(m *mem.Memory, cfg Config) *System {
 		telem:   telemetry.NewMachine(cfg.Threads),
 		threads: make([]*Thread, cfg.Threads),
 	}
+	for id := range s.threads {
+		s.threads[id] = newThread(s, id)
+	}
 	s.wakeCh = make(chan struct{})
 	arena := m.Preallocate(cfg.ArenaBytes)
 	s.arenaNext.Store(arena)
@@ -177,30 +196,81 @@ func (s *System) Telemetry() *telemetry.Machine { return s.telem }
 func (s *System) Clock() uint64 { return s.clock.Load() }
 
 // Thread returns the handle for goroutine slot id (0 <= id < Threads).
-// Handles are cached: calling twice with one id returns the same handle.
-// A handle must only ever be used from one goroutine at a time.
+// New creates every handle, so the escalator and the watchdog can scan
+// the handle table while workers run. A handle must only ever be used
+// from one goroutine at a time.
 func (s *System) Thread(id int) tm.Thread {
 	if id < 0 || id >= len(s.threads) {
 		panic(fmt.Sprintf("native: thread id %d out of range [0,%d)", id, len(s.threads)))
 	}
-	if s.threads[id] == nil {
-		t := &Thread{
-			sys:      s,
-			id:       id,
-			lockWord: uint64(id)<<1 | 1,
-			st:       &s.stats.Cores[id],
-			tb:       s.telem.Block(id),
-			windex:   make(map[uint64]int, 64),
-			owned:    make(map[int]uint64, 16),
-			fsm:      tm.AttemptFSM{RetryBudget: s.cfg.TM.Progress.RetryBudget},
-		}
-		t.boRng = chaosMix(0x626b6f666668a5a5, uint64(id))
-		if s.cfg.Chaos.Enabled() {
-			t.chaos = newChaosThread(s.cfg.Chaos, id)
-		}
-		s.threads[id] = t
-	}
 	return s.threads[id]
+}
+
+func newThread(s *System, id int) *Thread {
+	t := &Thread{
+		sys:      s,
+		id:       id,
+		lockWord: uint64(id)<<1 | 1,
+		st:       &s.stats.Cores[id],
+		tb:       s.telem.Block(id),
+		windex:   make(map[uint64]int, 64),
+		owned:    make(map[int]uint64, 16),
+		fsm:      tm.AttemptFSM{RetryBudget: s.cfg.TM.Progress.RetryBudget},
+		boRng:    chaosMix(0x626b6f666668a5a5, uint64(id)),
+	}
+	if s.cfg.Chaos.Enabled() {
+		t.chaos = newChaosThread(s.cfg.Chaos, id)
+	}
+	return t
+}
+
+// commitCount sums every thread's commit count: the watchdog's progress
+// measure, monotone because each term is.
+func (s *System) commitCount() uint64 {
+	var n uint64
+	for _, t := range s.threads {
+		n += t.commits.Load()
+	}
+	return n
+}
+
+// enterRevocable publishes t's active slot for one revocable attempt,
+// first waiting out any escalated transaction (invariant 5).
+func (s *System) enterRevocable(t *Thread) {
+	for {
+		t.active.Store(1)
+		if !s.excl.Load() {
+			return
+		}
+		t.active.Store(0)
+		s.serialMu.Lock()
+		s.serialMu.Unlock()
+	}
+}
+
+// enterExclusive makes t the only running transaction: it takes the
+// ladder mutex, raises excl and waits for every active slot to clear.
+// A watchdog trip while draining releases both before unwinding.
+func (s *System) enterExclusive(t *Thread) {
+	s.serialMu.Lock()
+	s.excl.Store(true)
+	defer func() {
+		if r := recover(); r != nil {
+			s.exitExclusive()
+			panic(r)
+		}
+	}()
+	for _, o := range s.threads {
+		for spins := 1; o.active.Load() != 0; spins++ {
+			t.spinYield(spins)
+		}
+	}
+}
+
+// exitExclusive lets revocable attempts run again.
+func (s *System) exitExclusive() {
+	s.excl.Store(false)
+	s.serialMu.Unlock()
 }
 
 // stripeIndex maps an address to its versioned-write-lock slot.
@@ -235,11 +305,18 @@ func (s *System) alloc(size, align uint64) uint64 {
 }
 
 // notifyCommit wakes every retry waiter to re-check its watch set by
-// retiring the current wake-channel generation. The committer's stripe
-// releases happen before the close, and waiters snapshot the channel
-// before checking their stripes, so a change can never slip between a
-// waiter's check and its wait.
+// retiring the current wake-channel generation. With no waiter registered
+// it does nothing, so a commit allocates no channel. No wakeup is lost:
+// the committer releases its stripes and then loads the waiter count, a
+// waiter registers and then loads the stripes, and the two sequences are
+// sequentially consistent, so either the committer sees the waiter or
+// the waiter sees the new stripe versions. A registered waiter snapshots
+// the channel before checking its stripes, so a close can never slip
+// between its check and its wait.
 func (s *System) notifyCommit() {
+	if s.waiters.Load() == 0 {
+		return
+	}
 	s.wakeMu.Lock()
 	close(s.wakeCh)
 	s.wakeCh = make(chan struct{})
@@ -265,6 +342,8 @@ func (s *System) waitForChange(t *Thread, watch []readEntry) {
 		}
 		return false
 	}
+	s.waiters.Add(1)
+	defer s.waiters.Add(-1)
 	deadline := s.cfg.Watchdog.WakeDeadline
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()

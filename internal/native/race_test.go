@@ -17,7 +17,7 @@ import (
 //
 // Retry-blocking transactions never run with the escalation ladder armed:
 // as on the simulator backend, Retry inside an irrevocable transaction is
-// a programming-model violation (the serial lock would deadlock), so the
+// a programming-model violation (the serial section would deadlock), so the
 // wakeup soaks use budget 0 and the escalation soaks avoid Retry.
 
 // TestBankTransferSoak moves money between a few hot accounts from many

@@ -40,6 +40,16 @@ type undoEntry struct {
 // tm.Thread and tm.Txn; one handle must never be shared by two goroutines
 // at the same time.
 type Thread struct {
+	// active is the thread's escalation-ladder slot, 1 while a revocable
+	// attempt runs (invariant 5); commits counts the thread's commits for
+	// the watchdog. Only this thread writes them, and the padding keeps
+	// the escalator's and the watchdog's reads from sharing a line with
+	// another thread's writes.
+	_       cacheLinePad
+	active  atomic.Uint32
+	commits atomic.Uint64
+	_       cacheLinePad
+
 	sys      *System
 	id       int
 	lockWord uint64 // id<<1 | 1: this thread's stripe write-lock value
@@ -177,7 +187,7 @@ func (t *Thread) spinYield(spins int) {
 // escalating to serial irrevocable mode once the retry budget is spent.
 //
 // Foreign panics do not escape: contain restores any stripe locks and the
-// serial lock the transaction held, resets the thread, and returns the
+// serial section the transaction held, resets the thread, and returns the
 // panic as a *TxnFault error (arena exhaustion as ErrArenaExhausted, a
 // watchdog trip as the NativeProgressViolation), matching the simulator's
 // PR 5 containment rule.
@@ -236,7 +246,7 @@ func (t *Thread) chaosAt(p chaosPoint) bool {
 // engine signals (which never escape the attempt machinery — one here is
 // an engine bug and re-panics), repairs shared state — stripe locks back
 // to pre-lock versions, the irrevocable undo log replayed and the serial
-// lock released — and converts the panic into the transaction's error.
+// section left — and converts the panic into the transaction's error.
 func (t *Thread) contain(err *error) {
 	r := recover()
 	if r == nil {
@@ -249,7 +259,7 @@ func (t *Thread) contain(err *error) {
 			t.sys.m.StoreAtomic(t.undo[i].addr, t.undo[i].old)
 		}
 		t.undo = t.undo[:0]
-		t.sys.serial.Unlock()
+		t.sys.exitExclusive()
 	}
 	t.inTxn, t.irrevocable = false, false
 	switch v := r.(type) {
@@ -297,15 +307,15 @@ func (t *Thread) AtomicSerialized(body func(tm.Txn) error) error {
 	return t.Atomic(body)
 }
 
-// attemptOnce runs one revocable attempt under the ladder's shared side.
-// It returns done=true with the transaction's result, or retryWait=true
-// (the caller must block on the watch set — after the shared lock is
-// released, or an escalated transaction could never drain us), or neither
-// (a conflict abort: back off and re-attempt).
+// attemptOnce runs one revocable attempt with the thread's ladder slot
+// raised. It returns done=true with the transaction's result, or
+// retryWait=true (the caller must block on the watch set — after the slot
+// is cleared, or an escalated transaction could never drain us), or
+// neither (a conflict abort: back off and re-attempt).
 func (t *Thread) attemptOnce(body func(tm.Txn) error) (done, retryWait bool, result error) {
 	if t.sys.armed {
-		t.sys.serial.RLock()
-		defer t.sys.serial.RUnlock()
+		t.sys.enterRevocable(t)
+		defer t.active.Store(0)
 	}
 	t.beginAttempt()
 	err, sig := t.runBody(body)
@@ -362,8 +372,8 @@ func (t *Thread) beginAttempt() {
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
 	t.saves = t.saves[:0]
-	for k := range t.windex {
-		delete(t.windex, k)
+	if len(t.windex) > 0 {
+		clear(t.windex)
 	}
 	t.tb.Inc(telemetry.CautiousAttempts)
 }
@@ -385,8 +395,10 @@ func (t *Thread) Load(addr uint64) uint64 {
 	if t.irrevocable {
 		return t.sys.m.LoadAtomic(addr)
 	}
-	if i, ok := t.windex[addr]; ok {
-		return t.writes[i].val
+	if len(t.writes) > 0 {
+		if i, ok := t.windex[addr]; ok {
+			return t.writes[i].val
+		}
 	}
 	ix := t.sys.stripeIndex(addr)
 	sp := &t.sys.stripes[ix]
@@ -486,7 +498,7 @@ func (t *Thread) commit() (stats.AbortCause, bool) {
 		// at rv and serializes there.
 		t.lastStamp = t.rv
 		t.st.Commits++
-		t.sys.commitSeq.Add(1)
+		t.commits.Add(1)
 		return 0, true
 	}
 
@@ -559,7 +571,7 @@ func (t *Thread) commit() (stats.AbortCause, bool) {
 
 	t.lastStamp = wv
 	t.st.Commits++
-	t.sys.commitSeq.Add(1)
+	t.commits.Add(1)
 	t.sys.notifyCommit()
 	return 0, true
 }
@@ -683,9 +695,9 @@ func (t *Thread) rollbackTo(sp tm.Savepoint) {
 func (t *Thread) Retry() {
 	t.requireTxn()
 	if t.irrevocable {
-		// An irrevocable transaction holds the serial lock exclusively:
-		// blocking it on a change nobody can make is a guaranteed
-		// deadlock, and the ladder invariant forbids the rollback.
+		// An irrevocable transaction runs exclusively: blocking it on a
+		// change nobody can make is a guaranteed deadlock, and the
+		// ladder invariant forbids the rollback.
 		panic("native: Retry inside an irrevocable transaction")
 	}
 	panic(tm.RetrySignal{})
@@ -704,12 +716,12 @@ func (t *Thread) Abort() {
 // --- Irrevocable escalation ---------------------------------------------------
 
 // runIrrevocable is the ladder's last rung (invariant 5): the transaction
-// takes the serial lock exclusively — draining every revocable attempt —
-// and runs with eager stores, an undo log for nested rollback, and no
-// conflict abort path.
+// excludes every other one — draining every revocable attempt — and runs
+// with eager stores, an undo log for nested rollback, and no conflict
+// abort path.
 func (t *Thread) runIrrevocable(body func(tm.Txn) error) error {
 	t.tb.Inc(telemetry.Escalations)
-	t.sys.serial.Lock()
+	t.sys.enterExclusive(t)
 	t.tb.Inc(telemetry.IrrevocableEntries)
 	t.inTxn, t.irrevocable = true, true
 	t.undo = t.undo[:0]
@@ -717,10 +729,10 @@ func (t *Thread) runIrrevocable(body func(tm.Txn) error) error {
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
 	t.saves = t.saves[:0]
-	// Chaos point: the serial lock is held exclusively — a stall here
+	// Chaos point: the transaction runs exclusively — a stall here
 	// drains every revocable attempt against the irrevocable window. A
 	// foreign panic from the body unwinds to Atomic's contain, which
-	// replays the undo log and releases the serial lock.
+	// replays the undo log and lets revocable attempts run again.
 	t.chaosAt(pointIrrevocable)
 
 	var result error
@@ -745,7 +757,7 @@ func (t *Thread) runIrrevocable(body func(tm.Txn) error) error {
 		escaped = sig
 	}
 	t.inTxn, t.irrevocable = false, false
-	t.sys.serial.Unlock()
+	t.sys.exitExclusive()
 	if escaped != nil {
 		panic(escaped)
 	}
@@ -770,7 +782,7 @@ func (t *Thread) commitIrrevocable() {
 	}
 	t.lastStamp = wv
 	t.st.Commits++
-	t.sys.commitSeq.Add(1)
+	t.commits.Add(1)
 	t.tb.ObserveMax(telemetry.UndoLogHWM, uint64(len(t.undo)))
 	t.tb.ObserveMax(telemetry.RetryDepthHWM, uint64(t.fsm.Attempt()))
 }

@@ -7,14 +7,15 @@ import (
 
 // The host watchdog plane is the native analogue of the simulator's
 // progress monitors (internal/sim/progress.go), restated in wall-clock
-// terms: a commit-progress window over the global commit sequence, and a
-// stuck-stripe-lock detector that scans the versioned-write-lock table
-// for a lock word that has not changed for longer than any healthy commit
-// section could hold it. A trip publishes a structured
-// NativeProgressViolation and raises the system's failed flag; spinning
-// and waiting threads observe the flag and unwind their transactions with
-// the violation as the error, so a wedged run terminates with a per-cell
-// error (exit 1) instead of hanging the process.
+// terms: a commit-progress window over the global commit sequence (the
+// sum of the threads' own commit counts), and a stuck-stripe-lock
+// detector that scans the versioned-write-lock table for a lock word that
+// has not changed for longer than any healthy commit section could hold
+// it. A trip publishes a structured NativeProgressViolation and raises
+// the system's failed flag; spinning and waiting threads observe the flag
+// and unwind their transactions with the violation as the error, so a
+// wedged run terminates with a per-cell error (exit 1) instead of hanging
+// the process.
 
 // Watchdog configures the host watchdog plane. Zero values select the
 // defaults noted on each field; the bounded wake deadline is always
@@ -62,7 +63,7 @@ type NativeProgressViolation struct {
 	Holder    int           // goroutine slot holding the stuck lock, or stuck mid-txn (-1 if unknown)
 	Stripe    int           // stuck stripe index (-1 for commit-stall)
 	Held      time.Duration // how long the condition persisted when tripped
-	CommitSeq uint64        // global commit sequence at the trip
+	CommitSeq uint64        // commits so far, summed over every thread, at the trip
 	Window    time.Duration // the budget that was exceeded
 }
 
@@ -129,7 +130,7 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	wd := s.cfg.Watchdog
 	held := make([]stripeHold, len(s.stripes))
-	lastSeq := s.commitSeq.Load()
+	lastSeq := s.commitCount()
 	windowStart := time.Now()
 	opSnap := make([]uint64, len(s.threads))
 	s.sampleOpSeqs(opSnap)
@@ -162,7 +163,7 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 					Holder:    int(w >> 1),
 					Stripe:    ix,
 					Held:      d,
-					CommitSeq: s.commitSeq.Load(),
+					CommitSeq: s.commitCount(),
 					Window:    wd.StripeHeldFor,
 				})
 				return
@@ -173,16 +174,13 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 		// only a stall if some thread has been inside one transaction the
 		// whole window (its opSeq odd and unchanged); an idle system
 		// resets the window instead of tripping.
-		if seq := s.commitSeq.Load(); seq != lastSeq {
+		if seq := s.commitCount(); seq != lastSeq {
 			lastSeq = seq
 			windowStart = now
 			s.sampleOpSeqs(opSnap)
 		} else if now.Sub(windowStart) > wd.CommitWindow {
 			stuck := -1
 			for id, t := range s.threads {
-				if t == nil {
-					continue
-				}
 				if cur := t.opSeq.Load(); cur&1 == 1 && cur == opSnap[id] {
 					stuck = id
 					break
@@ -207,10 +205,6 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 
 func (s *System) sampleOpSeqs(into []uint64) {
 	for id, t := range s.threads {
-		if t != nil {
-			into[id] = t.opSeq.Load()
-		} else {
-			into[id] = 0
-		}
+		into[id] = t.opSeq.Load()
 	}
 }

@@ -46,7 +46,6 @@ func TestStuckStripeLockWatchdog(t *testing.T) {
 		},
 	})
 	th := sys.Thread(0)
-	_ = sys.Thread(1)
 
 	// Wedge the stripe exactly as a stalled holder would leave it: lock
 	// word owned by goroutine slot 1, never released.
@@ -102,7 +101,6 @@ func TestCommitStallWatchdog(t *testing.T) {
 		},
 	})
 	wedged := sys.Thread(0).(*Thread)
-	_ = sys.Thread(1)
 	wedged.opSeq.Store(1) // odd: mid-transaction, and it will never advance
 	sys.StartWatchdog()
 	defer sys.StopWatchdog()

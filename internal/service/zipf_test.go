@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"hastm.dev/hastm/internal/workloads"
@@ -84,6 +85,36 @@ func TestZipfUniform(t *testing.T) {
 	for k := uint64(0); k < 10; k++ {
 		if m := z.Mass(k); math.Abs(m-0.1) > 1e-12 {
 			t.Fatalf("mass(%d) = %v, want 0.1", k, m)
+		}
+	}
+}
+
+// The guide-table draw must return exactly the key a binary search of the
+// whole CDF returns, for every draw: the key sequence is part of the
+// replay contract, so "close" is not enough.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	for _, c := range []struct {
+		n uint64
+		s float64
+	}{{1, 0}, {2, .5}, {7, .99}, {4096, .99}, {1 << 18, 0}, {1000, 2}, {100000, 1.2}} {
+		z := NewZipf(c.n, c.s)
+		check := func(k uint64, got uint64) {
+			t.Helper()
+			u := float64(k) / (1 << 53)
+			if want := uint64(sort.SearchFloat64s(z.cum, u)); got != want {
+				t.Fatalf("n=%d s=%v u=%v: got key %d, full search gives %d", c.n, c.s, u, got, want)
+			}
+		}
+		r, ref := workloads.NewRand(c.n), workloads.NewRand(c.n)
+		for i := 0; i < 200_000; i++ {
+			got := z.Next(r)
+			check(ref.Next()>>11, got)
+		}
+		// Both sides of every guide-slice boundary.
+		for j := uint64(0); j+1 < uint64(len(z.guide)); j++ {
+			for _, k := range []uint64{j << z.shift, (j+1)<<z.shift - 1} {
+				check(k, z.keyAt(k))
+			}
 		}
 	}
 }
